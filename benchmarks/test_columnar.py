@@ -1,15 +1,15 @@
-"""Bench: the columnar data plane vs the REPRO_SCALAR oracle.
+"""Bench: the columnar data plane vs the per-event reference.
 
 Times the vectorized device and content update-rate evaluations under
 the benchmark timer, then runs the identical workload through the
-scalar per-event path and asserts bit-identical reports — the parity
+scalar per-event loops of :mod:`tests.reference` and asserts
+bit-identical reports — the parity
 contract — plus the speedup the columnar refactor exists for. Route
 caches are warmed before either measurement so both paths time the
 evaluation itself, not BGP route computation. Speedups are recorded
 through the existing obs metrics plumbing (``bench.columnar.*``).
 """
 
-import os
 import time
 
 from conftest import run_once
@@ -21,22 +21,15 @@ from repro.core import (
     ForwardingStrategy,
     per_day_update_rates,
 )
-from repro.workload import SCALAR_ENV
+
+from tests import reference
 
 
-def _scalar(func, *args):
-    """Run ``func`` under REPRO_SCALAR=1, returning (result, seconds)."""
-    previous = os.environ.get(SCALAR_ENV)
-    os.environ[SCALAR_ENV] = "1"
-    try:
-        start = time.perf_counter()
-        result = func(*args)
-        return result, time.perf_counter() - start
-    finally:
-        if previous is None:
-            del os.environ[SCALAR_ENV]
-        else:
-            os.environ[SCALAR_ENV] = previous
+def _timed(func, *args):
+    """Run ``func`` once, returning (result, seconds)."""
+    start = time.perf_counter()
+    result = func(*args)
+    return result, time.perf_counter() - start
 
 
 def test_device_columnar_vs_scalar(benchmark, world, scale):
@@ -47,7 +40,7 @@ def test_device_columnar_vs_scalar(benchmark, world, scale):
     start = time.perf_counter()
     vector = run_once(benchmark, evaluator.evaluate, columns)
     vector_s = time.perf_counter() - start
-    scalar, scalar_s = _scalar(evaluator.evaluate, columns)
+    scalar, scalar_s = _timed(reference.evaluate_device, evaluator, columns)
 
     assert vector.rates == scalar.rates
     assert vector.updates == scalar.updates
@@ -75,7 +68,9 @@ def test_per_day_columnar_vs_scalar(benchmark, world, scale):
     evaluator.evaluate(columns)  # warm caches
 
     vector = run_once(benchmark, per_day_update_rates, evaluator, columns)
-    scalar, scalar_s = _scalar(per_day_update_rates, evaluator, columns)
+    scalar, scalar_s = _timed(
+        reference.per_day_update_rates, evaluator, columns
+    )
     assert vector == scalar
     obs.gauge("bench.columnar.per_day.scalar_s", scalar_s)
     print(
@@ -93,7 +88,9 @@ def test_content_columnar_vs_scalar(benchmark, world, scale):
     start = time.perf_counter()
     vector = run_once(benchmark, evaluator.evaluate, meas, strategy)
     vector_s = time.perf_counter() - start
-    scalar, scalar_s = _scalar(evaluator.evaluate, meas, strategy)
+    scalar, scalar_s = _timed(
+        reference.evaluate_content, evaluator, meas, strategy
+    )
 
     assert vector.rates == scalar.rates
     assert vector.updates == scalar.updates

@@ -4,7 +4,8 @@ Two measurements the refactor exists for:
 
 * **cold oracle build** — one frontier-batched sweep over every
   destination (``routes_to_many``) against the per-destination dict
-  BFS (``_compute``) it replaced, with a full parity check;
+  BFS it replaced (``tests.reference.compute_routes``), with a full
+  parity check;
 * **shared-memory fan-out** — ``run_experiments`` with ``--jobs``-style
   pooling, asserting through the metrics stream that workers attach
   the parent's exported World instead of rebuilding or unpickling
@@ -24,7 +25,8 @@ from repro import obs
 from repro.engine import run_experiments
 from repro.routing import RoutingOracle
 
-from test_columnar import _scalar
+from test_columnar import _timed
+from tests import reference
 
 
 def test_oracle_cold_build(benchmark, world, scale):
@@ -40,17 +42,16 @@ def test_oracle_cold_build(benchmark, world, scale):
     vector_s = time.perf_counter() - start
 
     def cold_scalar():
-        oracle = RoutingOracle(topo)
-        return {dest: oracle._compute(dest) for dest in dests}
+        return {dest: reference.compute_routes(topo, dest) for dest in dests}
 
-    tables, scalar_s = _scalar(cold_scalar)
+    tables, scalar_s = _timed(cold_scalar)
 
     for dest in dests[:: max(1, len(dests) // 25)]:  # spot-check parity
         materialized = batch.materialize(dest)
-        reference = tables[dest]
-        assert set(materialized) == set(reference)
+        expected = tables[dest]
+        assert set(materialized) == set(expected)
         for asn, bp in materialized.items():
-            assert bp.path == reference[asn].path
+            assert bp.path == expected[asn].path
 
     speedup = scalar_s / max(vector_s, 1e-9)
     obs.gauge("bench.control_plane.oracle.vector_s", vector_s)
@@ -97,16 +98,9 @@ def test_pooled_workers_attach_shared_world(benchmark, scale):
     assert counters.get("shm.leaked", 0) == 0
     assert snap["gauges"].get("shm.segments.open", 0) == 0
 
-    (_, scalar_snap, _), scalar_s = _scalar(_pooled, scale, 2)
-    assert scalar_snap["counters"].get("shm.worker.attached", 0) == 0
-
-    speedup = scalar_s / max(pooled_s, 1e-9)
     obs.gauge("bench.control_plane.fanout.array_s", pooled_s)
-    obs.gauge("bench.control_plane.fanout.scalar_s", scalar_s)
-    obs.gauge("bench.control_plane.fanout.speedup", speedup)
     print(
         f"pooled fan-out [{scale.label}]: {len(records)} experiments, "
-        f"shared-world {pooled_s:.3f}s vs scalar pool {scalar_s:.3f}s "
-        f"({speedup:.1f}x), "
+        f"shared-world {pooled_s:.3f}s, "
         f"{counters.get('shm.worker.attached', 0):.0f} worker attaches"
     )

@@ -951,8 +951,9 @@ def _compare(run_a: str, run_b: str, ledger_dir: Optional[str],
     """Diff two ledger entries: wall time, counters, series digests.
 
     With ``fail_on_diff``, a digest mismatch in any shared experiment
-    exits 1 — the CI gate that holds the vectorized evaluators to
-    bit-identical results against the ``REPRO_SCALAR=1`` oracle.
+    exits 1 — the CI gate that holds a run to bit-identical results
+    against one made on the per-event reference path
+    (``python -m tests.reference run ...``).
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr

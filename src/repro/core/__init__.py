@@ -28,7 +28,6 @@ from .architectures import (
 )
 from .displacement import (
     InterdomainPortMap,
-    interdomain_displaced,
     intradomain_displaced,
 )
 from .envelope import (
@@ -65,7 +64,6 @@ __all__ = [
     "NameBasedRouting",
     "intradomain_displaced",
     "InterdomainPortMap",
-    "interdomain_displaced",
     "ForwardingStrategy",
     "ContentPortMapper",
     "UnionFloodingState",

@@ -18,15 +18,18 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
-from ..mobility import MobilityEvent
+from .. import obs
+from ..engine import shm as shm_world
 from ..net import IPv4Address, IPv4Prefix
 from ..routing import RoutingOracle, VantagePoint
 from ..topology import IntradomainNetwork
+from ..workload import require_numpy
+
+np = require_numpy()
 
 __all__ = [
     "intradomain_displaced",
     "InterdomainPortMap",
-    "interdomain_displaced",
 ]
 
 
@@ -84,12 +87,10 @@ class InterdomainPortMap:
         Entry ``i`` is :meth:`port_for_prefix` of ``prefixes[i]`` with
         ``None`` encoded as ``-1`` — the per-router LUT the vectorized
         device evaluator gathers through with one fancy-index per
-        column. Shares (and warms) the same per-prefix cache the scalar
-        path uses, so mixing the two paths never recomputes a route.
+        column. Shares (and warms) the per-prefix cache of
+        :meth:`port_for_prefix`, so mixing the two never recomputes a
+        route.
         """
-        from ..workload import require_numpy
-
-        np = require_numpy()
         missing = [p for p in prefixes if p not in self._cache]
         if missing:
             filled = self._shared_next_hops(missing)
@@ -113,20 +114,12 @@ class InterdomainPortMap:
         the LUT with the very ranking this falls back to.
         """
         try:
-            from ..workload import scalar_mode
-
-            if scalar_mode():
-                return None
-            from ..engine import shm as shm_world
-
             filled = shm_world.attached_next_hops(
                 self.vantage.name, prefixes
             )
         except Exception:
             return None
         if filled is not None:
-            from .. import obs
-
             obs.incr("displacement.shm_lut.prefixes", len(prefixes))
         return filled
 
@@ -134,19 +127,3 @@ class InterdomainPortMap:
         """Number of prefixes resolved so far."""
         return len(self._cache)
 
-
-def interdomain_displaced(
-    port_map: InterdomainPortMap, event: MobilityEvent
-) -> bool:
-    """§3.2/§6.2.2: does the mobility event change the router's best
-    forwarding port for the moving device?
-
-    Uses the next hop of the highest-ranked RIB route as the output
-    port, "implicitly assuming that the forwarding output port changes
-    if and only if the next hop attribute changes".
-    """
-    old_port = port_map.port_for_address(event.old.ip)
-    new_port = port_map.port_for_address(event.new.ip)
-    if old_port is None or new_port is None:
-        return False
-    return old_port != new_port

@@ -38,10 +38,10 @@ from ..resolution import NameResolutionService, RetryingResolver
 from ..routing import RoutingOracle, VantagePoint
 from ..stats import median
 from ..topology import Graph
-from ..workload import DeviceEventColumns, require_numpy, scalar_mode
+from ..workload import DeviceEventColumns, require_numpy
 from ..workload.columns import unique_with_inverse
 from .architectures import IndirectionRouting
-from .displacement import InterdomainPortMap, interdomain_displaced
+from .displacement import InterdomainPortMap
 from .strategies import (
     ContentPortMapper,
     ForwardingStrategy,
@@ -90,12 +90,9 @@ class DeviceUpdateCostEvaluator:
     """Fig. 8: fraction of device mobility events updating each router.
 
     Accepts either an iterable of :class:`MobilityEvent` or a
-    :class:`~repro.workload.DeviceEventColumns` batch. The default path
-    vectorizes over the event axis (unique-address prefix interning,
-    one next-hop LUT gather per router); setting ``REPRO_SCALAR=1``
-    forces the original per-event loop, which serves as the parity
-    oracle — both paths produce bit-identical reports and ledger
-    digests.
+    :class:`~repro.workload.DeviceEventColumns` batch, and vectorizes
+    over the event axis (unique-address prefix interning, one next-hop
+    LUT gather per router).
     """
 
     def __init__(self, routers: Sequence[VantagePoint], oracle: RoutingOracle):
@@ -106,8 +103,6 @@ class DeviceUpdateCostEvaluator:
 
     def evaluate(self, events: Iterable[MobilityEvent]) -> UpdateRateReport:
         """Per-router update rate over ``events``."""
-        if scalar_mode():
-            return self._evaluate_scalar(events)
         columns = self._as_columns(events)
         count = len(columns)
         with obs.span("evaluator.batch.device"):
@@ -117,23 +112,6 @@ class DeviceUpdateCostEvaluator:
                 pm.vantage.name: int(np.count_nonzero(flag))
                 for pm, flag in zip(self._port_maps, flags)
             }
-        rates = {
-            name: (n / count if count else 0.0) for name, n in updates.items()
-        }
-        return UpdateRateReport(rates=rates, num_events=count, updates=updates)
-
-    def _evaluate_scalar(
-        self, events: Iterable[MobilityEvent]
-    ) -> UpdateRateReport:
-        """The per-event reference path (``REPRO_SCALAR=1``)."""
-        updates = {pm.vantage.name: 0 for pm in self._port_maps}
-        count = 0
-        for event in events:
-            count += 1
-            for pm in self._port_maps:
-                if interdomain_displaced(pm, event):
-                    updates[pm.vantage.name] += 1
-        obs.incr("evaluator.scalar.device.events", count)
         rates = {
             name: (n / count if count else 0.0) for name, n in updates.items()
         }
@@ -217,16 +195,11 @@ class ContentUpdateCostEvaluator:
     ) -> UpdateRateReport:
         """Per-router update rate over every event in ``measurement``.
 
-        The default path reduces each name's columnar ``Addrs(d, t)``
-        membership matrix per router with a handful of numpy
-        operations (rank gather + row minimum for best-port, a port
-        one-hot product for the flooding variants). ``REPRO_SCALAR=1``
-        forces the incremental per-event replay, the parity oracle —
-        both paths compute exactly the §3.3.1 definitions and produce
-        bit-identical reports.
+        Each name's columnar ``Addrs(d, t)`` membership matrix is
+        reduced per router with a handful of numpy operations (rank
+        gather + row minimum for best-port, a port one-hot product for
+        the flooding variants) — exactly the §3.3.1 definitions.
         """
-        if scalar_mode():
-            return self._evaluate_scalar(measurement, strategy)
         updates = {m.vantage.name: 0 for m in self._mappers}
         count = 0
         with obs.span("evaluator.batch.content"):
@@ -245,59 +218,17 @@ class ContentUpdateCostEvaluator:
         }
         return UpdateRateReport(rates=rates, num_events=count, updates=updates)
 
-    def _evaluate_scalar(
-        self,
-        measurement: ContentMeasurement,
-        strategy: ForwardingStrategy,
-    ) -> UpdateRateReport:
-        """The incremental per-event reference path (``REPRO_SCALAR=1``).
-
-        Each timeline's port profile is maintained as a counter and
-        only the addresses an event actually added or removed are
-        re-projected.
-        """
-        updates = {m.vantage.name: 0 for m in self._mappers}
-        union_states: Dict[str, UnionFloodingState] = {
-            m.vantage.name: UnionFloodingState() for m in self._mappers
-        }
-        count = 0
-        for name in measurement.names():
-            timeline = measurement.timeline(name)
-            events = timeline.events()
-            count += len(events)
-            for mapper in self._mappers:
-                router = mapper.vantage.name
-                if strategy is ForwardingStrategy.UNION_FLOODING:
-                    # Seed the union with the initial address set so
-                    # only genuinely new locations count as updates.
-                    union_states[router].observe(
-                        mapper, name, timeline.set_at(0)
-                    )
-                    for event in events:
-                        if union_states[router].observe(
-                            mapper, name, event.new_addrs
-                        ):
-                            updates[router] += 1
-                    continue
-                updates[router] += self._replay_timeline(
-                    mapper, timeline, events, strategy
-                )
-        obs.incr("evaluator.scalar.content.events", count)
-        rates = {
-            name: (n / count if count else 0.0) for name, n in updates.items()
-        }
-        return UpdateRateReport(rates=rates, num_events=count, updates=updates)
-
     @staticmethod
     def _count_updates(
         mapper: ContentPortMapper, matrix, strategy: ForwardingStrategy
     ) -> int:
         """Count one router's updates along one columnar timeline.
 
-        Parity with the incremental replay rests on two facts: equal
+        Parity with the incremental per-event replay (the reference in
+        ``tests/reference/evaluator.py``) rests on two facts: equal
         :func:`~repro.routing.rank_key` implies equal next hop (the
         next hop is the key's final tiebreak), so the row-minimum rank
-        determines the best port exactly as the scalar best-tracking
+        determines the best port exactly as incremental best-tracking
         does; and the flooding port set is a pure function of the
         addresses present (or ever seen, for union) in a row.
         """
@@ -355,71 +286,6 @@ class ContentUpdateCostEvaluator:
         changed = (port_presence[1:] != port_presence[:-1]).any(axis=1)
         return int(np.count_nonzero(changed))
 
-    @staticmethod
-    def _replay_timeline(
-        mapper: ContentPortMapper,
-        timeline,
-        events,
-        strategy: ForwardingStrategy,
-    ) -> int:
-        """Count best-port / flooding updates along one timeline."""
-        from ..routing import rank_key
-
-        def recompute_best(addrs):
-            winner = None
-            for addr in addrs:
-                route = mapper.best_route_for_address(addr)
-                if route is None:
-                    continue
-                if winner is None or rank_key(route) < rank_key(winner):
-                    winner = route
-            return winner
-
-        port_counts: Dict[int, int] = {}
-        for addr in timeline.set_at(0):
-            route = mapper.best_route_for_address(addr)
-            if route is None:
-                continue
-            port_counts[route.next_hop] = port_counts.get(route.next_hop, 0) + 1
-        best = recompute_best(timeline.set_at(0))
-
-        changed_count = 0
-        for event in events:
-            prev_best_port = None if best is None else best.next_hop
-            prev_ports = frozenset(port_counts)
-            best_removed = False
-            for addr in event.removed():
-                route = mapper.best_route_for_address(addr)
-                if route is None:
-                    continue
-                remaining = port_counts[route.next_hop] - 1
-                if remaining:
-                    port_counts[route.next_hop] = remaining
-                else:
-                    del port_counts[route.next_hop]
-                if best is not None and route == best:
-                    best_removed = True
-            for addr in event.added():
-                route = mapper.best_route_for_address(addr)
-                if route is None:
-                    continue
-                port_counts[route.next_hop] = (
-                    port_counts.get(route.next_hop, 0) + 1
-                )
-                if not best_removed and (
-                    best is None or rank_key(route) < rank_key(best)
-                ):
-                    best = route
-            if best_removed:
-                best = recompute_best(event.new_addrs)
-            if strategy is ForwardingStrategy.BEST_PORT:
-                new_best_port = None if best is None else best.next_hop
-                if new_best_port != prev_best_port:
-                    changed_count += 1
-            elif frozenset(port_counts) != prev_ports:
-                changed_count += 1
-        return changed_count
-
     def union_table_sizes(
         self, measurement: ContentMeasurement
     ) -> Dict[str, int]:
@@ -442,23 +308,9 @@ def per_day_update_rates(
 ) -> Dict[str, List[float]]:
     """§6.2.2 sensitivity to time: update rate per router per day.
 
-    Vectorized by default — per-event update flags are computed once
-    for the whole batch and reduced day by day; ``REPRO_SCALAR=1``
-    replays the original group-then-evaluate loop. Both paths group by
-    the same sorted distinct days and divide the same integers, so the
-    series (and their ledger digests) are identical.
+    Per-event update flags are computed once for the whole batch and
+    reduced day by day, over the sorted distinct days.
     """
-    if scalar_mode():
-        by_day: Dict[int, List[MobilityEvent]] = {}
-        for event in events:
-            by_day.setdefault(event.day, []).append(event)
-        series: Dict[str, List[float]] = {}
-        for day in sorted(by_day):
-            report = evaluator.evaluate(by_day[day])
-            for router, rate in report.rates.items():
-                series.setdefault(router, []).append(rate)
-        return series
-
     columns = evaluator._as_columns(events)
     if not len(columns):
         return {}

@@ -37,8 +37,7 @@ Lifecycle discipline — the part chaos mode exists to prove:
 The attach initializer never raises: a worker that cannot attach (or
 whose manifest does not match its World identity) silently falls back
 to the cache/rebuild path — shared memory is an accelerator, not a
-correctness dependency. ``REPRO_SCALAR=1`` runs skip the export
-entirely so the parity oracle keeps exercising the scalar paths.
+correctness dependency.
 """
 
 from __future__ import annotations
@@ -150,16 +149,14 @@ def export_world(scale, cache=None) -> Optional[WorldManifest]:
 
     Returns the manifest to hand to :func:`attach_shared_world` via the
     pool initializer, or None when export is impossible (no shared
-    memory support, scalar mode, numpy missing, any build failure) —
+    memory support, numpy missing, any build failure) —
     callers treat None as "workers go through the cache as before".
     """
     try:
         from multiprocessing import shared_memory
 
-        from ..workload import require_numpy, scalar_mode
+        from ..workload import require_numpy
 
-        if scalar_mode():
-            return None
         np = require_numpy()
         from ..experiments.context import World
         from ..routing.frontier import rank_vectors

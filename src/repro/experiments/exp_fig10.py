@@ -88,6 +88,13 @@ def run(world: World) -> Fig10Result:
     )
 
 
+def _median_line(label: str, values, unit: str = "") -> str:
+    """``label: <median><unit>``; an empty sample has no median (n=0)."""
+    if not values:
+        return f"{label}: n=0"
+    return f"{label}: {percentile(values, 0.5):.1f}{unit}"
+
+
 def format_result(result: Fig10Result) -> str:
     """Render the Fig. 10 summary."""
     lines = [banner("Fig. 10 -- displacement from the dominant location")]
@@ -96,17 +103,15 @@ def format_result(result: Fig10Result) -> str:
         f"({result.answered_pairs}/{result.total_pairs} pairs)"
     )
     lines.append(render_cdf_summary("one-way delay (ms)", result.delays_ms))
-    lines.append(
-        f"median delay (paper: ~50 ms): {result.median_delay():.1f} ms"
-    )
-    lines.append(
-        f"median predicted AS hops (paper: 4): "
-        f"{result.median_predicted_hops():.1f}"
-    )
-    lines.append(
-        f"median shortest physical AS path (paper: 2): "
-        f"{result.median_physical_hops():.1f}"
-    )
+    lines.append(_median_line(
+        "median delay (paper: ~50 ms)", result.delays_ms, " ms"
+    ))
+    lines.append(_median_line(
+        "median predicted AS hops (paper: 4)", result.predicted_hops
+    ))
+    lines.append(_median_line(
+        "median shortest physical AS path (paper: 2)", result.physical_hops
+    ))
     return "\n".join(lines)
 
 

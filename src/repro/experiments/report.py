@@ -58,9 +58,14 @@ def format_band(lo: float, hi: float) -> str:
 def render_cdf_summary(
     label: str, values: Sequence[float], quantiles: Sequence[float] = (0.25, 0.5, 0.75, 0.9)
 ) -> str:
-    """One line summarising a distribution by its quantiles."""
+    """One line summarising a distribution by its quantiles.
+
+    An empty sample renders as ``n=0`` alone: it has no quantiles.
+    """
     from ..mobility import percentile
 
+    if not values:
+        return f"{label}: n=0"
     parts = [f"p{int(q * 100)}={percentile(values, q):.3g}" for q in quantiles]
     parts.append(f"max={max(values):.3g}")
     return f"{label}: n={len(values)} " + " ".join(parts)

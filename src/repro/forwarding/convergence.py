@@ -34,19 +34,13 @@ from typing import Dict, Hashable, Optional, Tuple
 from .. import obs
 from ..faults import LINK, ROUTER, FaultSchedule, MessageLossModel, RetryPolicy
 from ..topology import Graph
+from ..workload import require_numpy
 
 __all__ = ["MobilityOutage", "FaultyMobilityOutage", "ConvergenceSimulator"]
 
 Node = Hashable
 
-
-def _array_mode() -> bool:
-    """True when the vectorized probe engine should serve this call."""
-    try:
-        from ..workload import scalar_mode
-    except ImportError:  # numpy-free environment: scalar only
-        return False
-    return not scalar_mode()
+np = require_numpy()
 
 
 class _ConvArrays:
@@ -56,14 +50,10 @@ class _ConvArrays:
     order. The dense adjacency matrix drives batched multi-source BFS
     (toy/intradomain graphs are small, so ``(S, n) @ (n, n)`` beats a
     per-source dict flood by orders of magnitude); per-target hop rows
-    and next-hop columns are cached exactly like the scalar caches.
+    and next-hop columns are cached per target.
     """
 
     def __init__(self, sim: "ConvergenceSimulator"):
-        from ..workload import require_numpy
-
-        np = require_numpy()
-        self._np = np
         self._sim = sim
         nodes = sim._nodes
         self.n = len(nodes)
@@ -82,7 +72,6 @@ class _ConvArrays:
         All missing targets flood together: one boolean frontier matrix
         stepped by matmul — the vectorized multi-source BFS.
         """
-        np = self._np
         missing = [t for t in targets if t not in self._hops]
         if missing:
             rows = np.full((len(missing), self.n), -1, dtype=np.int32)
@@ -107,7 +96,7 @@ class _ConvArrays:
         """Each node's next hop toward ``target``, as node indices."""
         col = self._nh_cols.get(target)
         if col is None:
-            np, sim = self._np, self._sim
+            sim = self._sim
             col = np.array(
                 [self.index[sim._nh(node)[target]] for node in sim._nodes],
                 dtype=np.int64,
@@ -182,20 +171,15 @@ class ConvergenceSimulator:
 
         The announcement floods outward from the new attachment router;
         a router at hop distance h processes it at ``h * per_hop_delay``.
-        In array mode the flood is a multi-source BFS row (cached and
-        shareable across every event with this attachment point).
+        The flood is a multi-source BFS row (cached and shareable across
+        every event with this attachment point).
         """
-        if _array_mode():
-            arrays = self._arrays()
-            hops = arrays.hop_rows([new_router])[0]
-            return {
-                node: int(hops[i]) * self._delay
-                for i, node in enumerate(self._nodes)
-                if hops[i] >= 0
-            }
+        arrays = self._arrays()
+        hops = arrays.hop_rows([new_router])[0]
         return {
-            node: hops * self._delay
-            for node, hops in self._graph.bfs_distances(new_router).items()
+            node: int(hops[i]) * self._delay
+            for i, node in enumerate(self._nodes)
+            if hops[i] >= 0
         }
 
     def forwarding_state_at(
@@ -243,60 +227,14 @@ class ConvergenceSimulator:
         Probes each source at ``probe_step`` granularity from the move
         until convergence; the outage is the span from the move to the
         last failed probe + step (0 if no probe ever fails).
-        """
-        if _array_mode():
-            return self._simulate_event_array(
-                old_router, new_router, probe_step
-            )
-        arrivals = self.update_arrival_times(new_router)
-        convergence = max(arrivals.values())
-        outage: Dict[Node, float] = {}
-        for source in self._nodes:
-            if source == new_router:
-                outage[source] = 0.0
-                continue
-            last_failure: Optional[float] = None
-            t = 0.0
-            while t <= convergence + probe_step:
-                if not self.deliver(source, t, old_router, new_router):
-                    last_failure = t
-                t += probe_step
-            outage[source] = (
-                0.0 if last_failure is None else last_failure + probe_step
-            )
-        return MobilityOutage(
-            old_router=old_router,
-            new_router=new_router,
-            convergence_time=convergence,
-            outage_by_source=outage,
-        )
 
-    def _probe_grid(self, convergence: float, probe_step: float) -> list:
-        """The probe instants, by the same accumulation the scalar loop
-        uses — the grid must be float-identical, not ``arange``-close."""
-        ts = []
-        t = 0.0
-        while t <= convergence + probe_step:
-            ts.append(t)
-            t += probe_step
-        return ts
-
-    def _simulate_event_array(
-        self, old_router: Node, new_router: Node, probe_step: float
-    ) -> MobilityOutage:
-        """Array path of :meth:`simulate_event`: all (probe, source)
-        cells at once.
-
-        The forwarding state at probe time t is a functional graph
-        F[t]; a probe from ``source`` succeeds iff iterating F[t]
-        reaches the new attachment (a revisit means a stale/fresh loop,
-        a self-loop a blackhole — exactly the scalar walk's failure
-        modes). Reachability-to-new over all cells is one monotone
+        All (probe, source) cells resolve at once. The forwarding state
+        at probe time t is a functional graph F[t]; a probe from
+        ``source`` succeeds iff iterating F[t] reaches the new
+        attachment (a revisit means a stale/fresh loop, a self-loop a
+        blackhole). Reachability-to-new over all cells is one monotone
         fixpoint instead of n walks per probe instant.
         """
-        from ..workload import require_numpy
-
-        np = require_numpy()
         arrays = self._arrays()
         hops = arrays.hop_rows([new_router])[0]
         arr = np.where(
@@ -335,15 +273,24 @@ class ConvergenceSimulator:
             outage_by_source=outage,
         )
 
+    def _probe_grid(self, convergence: float, probe_step: float) -> list:
+        """The probe instants, by repeated ``t += probe_step`` — the grid
+        of a per-probe loop, float-identical, not ``arange``-close."""
+        ts = []
+        t = 0.0
+        while t <= convergence + probe_step:
+            ts.append(t)
+            t += probe_step
+        return ts
+
     def expected_outage(
         self, events: int, rng: random.Random
     ) -> Tuple[float, float]:
         """(mean, max) outage over random mobility events.
 
-        The endpoint draws always come first, in the exact scalar
-        order, so the rng stream is mode-independent; in array mode the
-        unique new attachments then flood together (one batched
-        multi-source BFS) before the per-event probes run.
+        The endpoint draws all come first; the unique new attachments
+        then flood together (one batched multi-source BFS) before the
+        per-event probes run.
         """
         pairs = []
         for _ in range(events):
@@ -352,7 +299,7 @@ class ConvergenceSimulator:
             if old == new:
                 continue
             pairs.append((old, new))
-        if pairs and _array_mode():
+        if pairs:
             with obs.span("convergence.batch.arrivals"):
                 self._arrays().hop_rows(
                     sorted({new for _, new in pairs}, key=repr)
@@ -433,36 +380,6 @@ class ConvergenceSimulator:
                 heapq.heappush(heap, (candidate, repr(neighbor), neighbor))
         return arrivals, retransmissions
 
-    def deliver_under_faults(
-        self,
-        source: Node,
-        time: float,
-        old_router: Node,
-        new_router: Node,
-        arrivals: Dict[Node, float],
-        faults: FaultSchedule,
-    ) -> bool:
-        """Fault-aware probe: stale entries AND down elements drop it."""
-        current = source
-        visited = set()
-        while True:
-            if faults.is_down(ROUTER, current, time):
-                return False
-            if current == new_router:
-                return True
-            if current in visited:
-                return False
-            visited.add(current)
-            target = new_router if arrivals.get(
-                current, float("inf")
-            ) <= time else old_router
-            hop = self._nh(current)[target]
-            if hop == current:
-                return False
-            if faults.is_down(LINK, (current, hop), time):
-                return False
-            current = hop
-
     def simulate_event_under_faults(
         self,
         old_router: Node,
@@ -494,34 +411,9 @@ class ConvergenceSimulator:
             new_router, loss, retransmit, rng, faults
         )
         convergence = max(arrivals.values())
-        if _array_mode():
-            outage = self._probe_outages_under_faults_array(
-                old_router, new_router, arrivals, faults,
-                convergence, probe_step,
-            )
-            return FaultyMobilityOutage(
-                old_router=old_router,
-                new_router=new_router,
-                convergence_time=convergence,
-                outage_by_source=outage,
-                retransmissions=retransmissions,
-            )
-        outage: Dict[Node, float] = {}
-        for source in self._nodes:
-            if source == new_router:
-                outage[source] = 0.0
-                continue
-            last_failure: Optional[float] = None
-            t = 0.0
-            while t <= convergence + probe_step:
-                if not self.deliver_under_faults(
-                    source, t, old_router, new_router, arrivals, faults
-                ):
-                    last_failure = t
-                t += probe_step
-            outage[source] = (
-                0.0 if last_failure is None else last_failure + probe_step
-            )
+        outage = self._probe_outages_under_faults(
+            old_router, new_router, arrivals, faults, convergence, probe_step
+        )
         return FaultyMobilityOutage(
             old_router=old_router,
             new_router=new_router,
@@ -530,7 +422,7 @@ class ConvergenceSimulator:
             retransmissions=retransmissions,
         )
 
-    def _probe_outages_under_faults_array(
+    def _probe_outages_under_faults(
         self,
         old_router: Node,
         new_router: Node,
@@ -539,20 +431,16 @@ class ConvergenceSimulator:
         convergence: float,
         probe_step: float,
     ) -> Dict[Node, float]:
-        """Array path of the fault-aware probe phase.
+        """The fault-aware probe phase: outage per source.
 
         Fault state is time-varying, so each probe instant evaluates
         the schedule once per node (router up? outgoing link up?) and
         then resolves all sources with one reachability fixpoint —
-        instead of re-walking the path from every source. The failure
-        conditions and their outcomes match
-        :meth:`deliver_under_faults` case for case: a down router kills
-        a probe even at the new attachment, a self-loop is the old
-        attachment's blackhole, a revisit is a stale/fresh loop.
+        instead of re-walking the path from every source. A down router
+        kills a probe even at the new attachment, a downed outgoing link
+        drops it, a self-loop is the old attachment's blackhole, a
+        revisit is a stale/fresh loop.
         """
-        from ..workload import require_numpy
-
-        np = require_numpy()
         arrays = self._arrays()
         n = arrays.n
         nodes = self._nodes

@@ -19,7 +19,8 @@ preference: customer-learned > peer-learned > provider-learned, then
 shortest AS path, then lowest next-hop ASN. The per-destination
 computation is the usual three-stage breadth-first sweep (customer
 routes up the provider DAG, one peer hop, provider routes down), which
-yields exactly the stable state of this policy system.
+yields exactly the stable state of this policy system; it runs
+frontier-batched over arrays (:mod:`repro.routing.frontier`).
 
 A :class:`VantagePoint` is a route collector attached to a set of
 neighbor ASes with explicit business relationships. It originates
@@ -31,13 +32,13 @@ if the neighbor's export policy towards the collector allows it.
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..net import IPv4Address, IPv4Prefix
 from ..topology import ASTopology, Relationship
+from .frontier import FrontierEngine, materialize_routes, next_hop_table_batch
 from .ranking import Route, best_route, rank_routes, synthetic_med
 
 __all__ = [
@@ -61,19 +62,6 @@ class PathType(enum.Enum):
 _EXPORTABLE_UPWARD = (PathType.ORIGIN, PathType.CUSTOMER)
 
 
-def _array_mode() -> bool:
-    """True when the frontier-batched array control plane should serve.
-
-    ``REPRO_SCALAR=1`` (or a numpy-free interpreter) routes everything
-    through the per-destination dict reference implementation instead.
-    """
-    try:
-        from ..workload import scalar_mode
-    except ImportError:  # numpy-free environment: scalar only
-        return False
-    return not scalar_mode()
-
-
 @dataclass(frozen=True)
 class BestPath:
     """An AS's best route to some destination AS."""
@@ -84,15 +72,6 @@ class BestPath:
     def length(self) -> int:
         """Number of ASNs on the path."""
         return len(self.path)
-
-
-def _better(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-    """Within one path type: shorter path wins, then lexicographic path.
-
-    Lexicographic comparison on the ASN tuple subsumes the lowest-
-    next-hop tiebreak and makes the oracle fully deterministic.
-    """
-    return (len(a), a) < (len(b), b)
 
 
 class RoutingOracle:
@@ -150,8 +129,6 @@ class RoutingOracle:
         """The array control plane for this topology (built on demand)."""
         engine = self._frontier
         if engine is None:
-            from .frontier import FrontierEngine
-
             engine = FrontierEngine(self._topo)
             self._frontier = engine
         return engine
@@ -166,8 +143,6 @@ class RoutingOracle:
         """Seed the array control plane with a pre-built CSR topology
         (e.g. a shared-memory view), skipping the encode pass."""
         if self._frontier is None:
-            from .frontier import FrontierEngine
-
             self._frontier = FrontierEngine(self._topo, csr=csr)
 
     def export_route_tables(self):
@@ -186,8 +161,6 @@ class RoutingOracle:
     def import_route_tables(self, buffers, csr=None) -> None:
         """Adopt previously exported array tables (warm artifact / shm)."""
         if self._frontier is None:
-            from .frontier import FrontierEngine
-
             self._frontier = FrontierEngine(self._topo, csr=csr)
         self._frontier.import_tables(buffers)
 
@@ -198,14 +171,9 @@ class RoutingOracle:
             return cached
         if dest_asn not in self._topo.ases:
             raise KeyError(f"unknown destination AS{dest_asn}")
-        if _array_mode():
-            from .frontier import materialize_routes
-
-            engine = self.frontier_engine()
-            ptype, plen, parent, _entry = engine.table_for(dest_asn)
-            result = materialize_routes(engine.csr, ptype, plen, parent)
-        else:
-            result = self._compute(dest_asn)
+        engine = self.frontier_engine()
+        ptype, plen, parent, _entry = engine.table_for(dest_asn)
+        result = materialize_routes(engine.csr, ptype, plen, parent)
         self._cache[dest_asn] = result
         self._dirty += 1
         obs.incr("oracle.demand_computations")
@@ -228,75 +196,6 @@ class RoutingOracle:
     def best_path(self, source_asn: int, dest_asn: int) -> Optional[BestPath]:
         """The best policy path from ``source_asn`` to ``dest_asn``."""
         return self.routes_to(dest_asn).get(source_asn)
-
-    def _compute(self, dest: int) -> Dict[int, BestPath]:
-        topo = self._topo
-        info: Dict[int, BestPath] = {dest: BestPath((dest,), PathType.ORIGIN)}
-
-        # Stage 1 — customer routes: propagate up provider links, level
-        # by level (BFS), so every AS in the destination's provider
-        # cone gets its shortest customer-learned path.
-        current: Dict[int, Tuple[int, ...]] = {dest: (dest,)}
-        while current:
-            candidates: Dict[int, Tuple[int, ...]] = {}
-            for child in sorted(current):
-                child_path = current[child]
-                for provider in sorted(topo.ases[child].providers):
-                    if provider in info:
-                        continue
-                    cand = (provider,) + child_path
-                    prev = candidates.get(provider)
-                    if prev is None or _better(cand, prev):
-                        candidates[provider] = cand
-            for asn, path in candidates.items():
-                info[asn] = BestPath(path, PathType.CUSTOMER)
-            current = candidates
-
-        # Stage 2 — peer routes: one peering hop off any AS holding a
-        # customer/origin route. Only ASes that did not get a customer
-        # route take one (customer routes are strictly preferred).
-        peer_adds: Dict[int, Tuple[int, ...]] = {}
-        holders = dict(info)
-        for asn in sorted(topo.ases):
-            if asn in info:
-                continue
-            best: Optional[Tuple[int, ...]] = None
-            for peer in sorted(topo.ases[asn].peers):
-                held = holders.get(peer)
-                if held is None:
-                    continue
-                cand = (asn,) + held.path
-                if best is None or _better(cand, best):
-                    best = cand
-            if best is not None:
-                peer_adds[asn] = best
-        for asn, path in peer_adds.items():
-            info[asn] = BestPath(path, PathType.PEER)
-
-        # Stage 3 — provider routes: propagate down customer links from
-        # every AS that has a route, in order of total path length
-        # (Dijkstra with unit weights and multi-source initialization;
-        # sources start at their existing path lengths).
-        heap: List[Tuple[int, Tuple[int, ...], int]] = []
-        for asn, bp in info.items():
-            for customer in topo.ases[asn].customers:
-                if customer in info:
-                    continue
-                cand = (customer,) + bp.path
-                heapq.heappush(heap, (len(cand), cand, customer))
-        while heap:
-            _, path, asn = heapq.heappop(heap)
-            if asn in info:
-                continue
-            if asn in path[1:]:
-                continue  # loop prevention
-            info[asn] = BestPath(path, PathType.PROVIDER)
-            for customer in topo.ases[asn].customers:
-                if customer in info:
-                    continue
-                cand = (customer,) + path
-                heapq.heappush(heap, (len(cand), cand, customer))
-        return info
 
 
 @dataclass
@@ -418,21 +317,8 @@ class VantagePoint:
         the dense LUT the vectorized evaluators gather through instead
         of calling :meth:`fib_best` per event.
         """
-        from ..workload import require_numpy
-
-        if _array_mode():
-            from .frontier import next_hop_table_batch
-
-            with obs.span("routing.batch.next_hop_table"):
-                table = next_hop_table_batch(self, oracle, prefixes)
-            obs.incr("vantage.next_hop_table.prefixes", len(prefixes))
-            return table
-        np = require_numpy()
-        table = np.full(len(prefixes), -1, dtype=np.int64)
-        for i, prefix in enumerate(prefixes):
-            best = self.fib_best(oracle, prefix)
-            if best is not None:
-                table[i] = best.next_hop
+        with obs.span("routing.batch.next_hop_table"):
+            table = next_hop_table_batch(self, oracle, prefixes)
         obs.incr("vantage.next_hop_table.prefixes", len(prefixes))
         return table
 

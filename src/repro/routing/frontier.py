@@ -1,8 +1,9 @@
 """Array-native control plane: frontier-batched BGP over CSR arrays.
 
-The scalar oracle (:meth:`repro.routing.bgp.RoutingOracle._compute`)
-walks Python dicts per destination; at paper scale that BFS dominates
-every cold run. This module re-expresses the same three-stage
+The scalar oracle (the per-destination dict BFS kept as the parity
+reference in ``tests/reference/routing.py``) walks Python dicts per
+destination; at paper scale that BFS dominates every cold run. This
+module re-expresses the same three-stage
 Gao-Rexford propagation as frontier-batched operations over integer
 arrays: the AS graph lives in CSR form (:class:`CSRTopology`), each
 destination's best-route table is three parallel vectors — path type,

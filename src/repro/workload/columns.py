@@ -56,7 +56,7 @@ class DeviceEventColumns:
     """A batch of device mobility events in columnar form.
 
     Rows preserve the order of the event list the table was built
-    from, so scalar replay of :meth:`to_events` and vectorized
+    from, so per-event replay of :meth:`to_events` and vectorized
     reduction over the columns see the same sequence — the property
     the bit-identical-digests guarantee rests on.
     """

@@ -1,11 +1,11 @@
-"""Golden parity tests: vectorized evaluators vs the REPRO_SCALAR oracle.
+"""Golden parity tests: vectorized evaluators vs the per-event reference.
 
 The columnar data plane's contract is *bit-identical* results: the
 vectorized device/content evaluators and ``per_day_update_rates`` must
 produce exactly the reports — and therefore exactly the ledger series
-digests — that the original per-event scalar loops produce. These tests
-run both paths in one process (flipping ``REPRO_SCALAR`` via
-monkeypatch) and compare everything, including digests.
+digests — that the per-event loops in :mod:`tests.reference` produce.
+These tests run both in one process and compare everything, including
+digests.
 """
 
 import pytest
@@ -20,8 +20,9 @@ from repro.mobility import MobilityEvent
 from repro.net import parse_address
 from repro.obs.history import digest_series
 from repro.routing import RoutingOracle
-from repro.workload import SCALAR_ENV, DeviceEventColumns, scalar_mode
+from repro.workload import DeviceEventColumns
 
+from tests import reference
 from tests.test_core_evaluator import (
     L6,
     L6B,
@@ -84,24 +85,12 @@ def content_measurement():
     ])
 
 
-class TestScalarModeSwitch:
-    def test_env_values(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
-        assert not scalar_mode()
-        monkeypatch.setenv(SCALAR_ENV, "0")
-        assert not scalar_mode()
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        assert scalar_mode()
-
-
 class TestDeviceParity:
-    def test_reports_identical(self, monkeypatch):
+    def test_reports_identical(self):
         routers, oracle = two_routers()
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        scalar = DeviceUpdateCostEvaluator(routers, oracle).evaluate(
-            device_events()
+        scalar = reference.evaluate_device(
+            DeviceUpdateCostEvaluator(routers, oracle), device_events()
         )
-        monkeypatch.delenv(SCALAR_ENV)
         vector = DeviceUpdateCostEvaluator(routers, oracle).evaluate(
             device_events()
         )
@@ -111,9 +100,8 @@ class TestDeviceParity:
         assert list(vector.rates) == list(scalar.rates)  # dict order too
         assert report_digest(vector) == report_digest(scalar)
 
-    def test_columns_input_matches_list_input(self, monkeypatch):
+    def test_columns_input_matches_list_input(self):
         routers, oracle = two_routers()
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
         evaluator = DeviceUpdateCostEvaluator(routers, oracle)
         from_list = evaluator.evaluate(device_events())
         from_cols = evaluator.evaluate(
@@ -121,31 +109,28 @@ class TestDeviceParity:
         )
         assert report_digest(from_list) == report_digest(from_cols)
 
-    def test_scalar_accepts_columns(self, monkeypatch):
+    def test_scalar_accepts_columns(self):
         routers, oracle = two_routers()
         columns = DeviceEventColumns.from_events(device_events())
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        scalar = DeviceUpdateCostEvaluator(routers, oracle).evaluate(columns)
-        monkeypatch.delenv(SCALAR_ENV)
+        scalar = reference.evaluate_device(
+            DeviceUpdateCostEvaluator(routers, oracle), columns
+        )
         vector = DeviceUpdateCostEvaluator(routers, oracle).evaluate(columns)
         assert report_digest(scalar) == report_digest(vector)
 
-    def test_empty_events(self, monkeypatch):
+    def test_empty_events(self):
         routers, oracle = two_routers()
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
         report = DeviceUpdateCostEvaluator(routers, oracle).evaluate([])
         assert report.num_events == 0
         assert set(report.rates.values()) == {0.0}
 
 
 class TestPerDayParity:
-    def test_series_identical(self, monkeypatch):
+    def test_series_identical(self):
         routers, oracle = two_routers()
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        scalar = per_day_update_rates(
+        scalar = reference.per_day_update_rates(
             DeviceUpdateCostEvaluator(routers, oracle), device_events()
         )
-        monkeypatch.delenv(SCALAR_ENV)
         vector = per_day_update_rates(
             DeviceUpdateCostEvaluator(routers, oracle), device_events()
         )
@@ -157,23 +142,20 @@ class TestPerDayParity:
         )
         assert digest(vector) == digest(scalar)
 
-    def test_empty(self, monkeypatch):
+    def test_empty(self):
         routers, oracle = two_routers()
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
         evaluator = DeviceUpdateCostEvaluator(routers, oracle)
         assert per_day_update_rates(evaluator, []) == {}
 
 
 class TestContentParity:
     @pytest.mark.parametrize("strategy", list(ForwardingStrategy))
-    def test_reports_identical(self, strategy, monkeypatch):
+    def test_reports_identical(self, strategy):
         routers, oracle = two_routers()
         meas = content_measurement()
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        scalar = ContentUpdateCostEvaluator(routers, oracle).evaluate(
-            meas, strategy
+        scalar = reference.evaluate_content(
+            ContentUpdateCostEvaluator(routers, oracle), meas, strategy
         )
-        monkeypatch.delenv(SCALAR_ENV)
         vector = ContentUpdateCostEvaluator(routers, oracle).evaluate(
             meas, strategy
         )

@@ -4,13 +4,15 @@ Three parity obligations pinned here:
 
 * the frontier-batched oracle (:meth:`RoutingOracle.routes_to_many`)
   must equal the per-destination scalar computation
-  (:meth:`RoutingOracle._compute`) on arbitrary valley-free internets,
-  including multihomed stubs;
-* the vectorized FIB derivation (``VantagePoint.next_hop_table`` in
-  array mode) must equal the scalar per-prefix ``fib_best`` ranking,
-  including under selective announcement;
-* batched convergence (``expected_outage``/``_under_faults`` in array
-  mode) must be bit-identical to the per-event scalar simulator.
+  (:func:`tests.reference.compute_routes`) on arbitrary valley-free
+  internets, including multihomed stubs;
+* the vectorized FIB derivation (``VantagePoint.next_hop_table``) must
+  equal the scalar per-prefix ``fib_best`` ranking
+  (:func:`tests.reference.next_hop_table`), including under selective
+  announcement;
+* batched convergence (``expected_outage``/``_under_faults``) must be
+  bit-identical to the per-event scalar simulator
+  (:func:`tests.reference.patched`).
 
 Plus the serialization contracts the shared-memory fan-out leans on:
 a pickled oracle drops its frontier engine and dirty count, and an
@@ -18,7 +20,6 @@ array artifact written by a different GENERATOR_VERSION is a counted
 cache miss, never a crash.
 """
 
-import os
 import pickle
 import random
 
@@ -37,28 +38,11 @@ from repro.topology import (
     clique_topology,
     star_topology,
 )
-from repro.workload import SCALAR_ENV
 
+from . import reference
 from .test_property_routing import random_internet
 
 np = pytest.importorskip("numpy")
-
-
-def _scalar(monkey_env=True):
-    """Context manager flipping REPRO_SCALAR=1 for the with-block."""
-
-    class _Ctx:
-        def __enter__(self):
-            self._saved = os.environ.get(SCALAR_ENV)
-            os.environ[SCALAR_ENV] = "1"
-
-        def __exit__(self, *exc):
-            if self._saved is None:
-                os.environ.pop(SCALAR_ENV, None)
-            else:
-                os.environ[SCALAR_ENV] = self._saved
-
-    return _Ctx()
 
 
 def _assert_tables_equal(batch_table, scalar_table, dest):
@@ -78,18 +62,20 @@ class TestRoutesToManyParity:
         batch = oracle.routes_to_many(dests)
         for dest in dests:
             _assert_tables_equal(
-                batch.materialize(dest), oracle._compute(dest), dest
+                batch.materialize(dest), reference.compute_routes(topo, dest),
+                dest,
             )
 
     @settings(max_examples=30, deadline=None)
     @given(random_internet())
     def test_routes_to_equals_scalar_compute(self, topo):
         # The public per-dest API must agree too (it materializes from
-        # the frontier engine's table in array mode).
+        # the frontier engine's table).
         oracle = RoutingOracle(topo)
         for dest in sorted(topo.ases):
             _assert_tables_equal(
-                oracle.routes_to(dest), oracle._compute(dest), dest
+                oracle.routes_to(dest), reference.compute_routes(topo, dest),
+                dest,
             )
 
 
@@ -138,11 +124,11 @@ class TestNextHopTableParity:
             vp.name: np.asarray(vp.next_hop_table(array_oracle, prefixes))
             for vp in _vantages(topo)
         }
-        with _scalar():
+        with reference.patched():
             scalar_oracle = RoutingOracle(topo)
             for vp in _vantages(topo):
-                expected = np.asarray(
-                    vp.next_hop_table(scalar_oracle, prefixes)
+                expected = reference.next_hop_table(
+                    vp, scalar_oracle, prefixes
                 )
                 assert (tables[vp.name] == expected).all(), vp.name
 
@@ -163,7 +149,7 @@ class TestConvergenceBatchParity:
         batched = ConvergenceSimulator(graph).expected_outage(
             12, random.Random(seed)
         )
-        with _scalar():
+        with reference.patched():
             scalar = ConvergenceSimulator(graph).expected_outage(
                 12, random.Random(seed)
             )
@@ -188,7 +174,7 @@ class TestConvergenceBatchParity:
             )
 
         batched = run()
-        with _scalar():
+        with reference.patched():
             scalar = run()
         assert batched == scalar
 
@@ -211,7 +197,8 @@ class TestOraclePickleState:
         # ...and it still answers correctly (rebuilding lazily).
         for dest in dests:
             _assert_tables_equal(
-                clone.routes_to(dest), oracle._compute(dest), dest
+                clone.routes_to(dest), reference.compute_routes(topo, dest),
+                dest,
             )
 
 

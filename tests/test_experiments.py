@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import (
     SMALL_SCALE,
+    ExperimentScale,
     World,
     active_scale,
     exp_envelope,
@@ -131,7 +132,30 @@ class TestReportHelpers:
         assert "p50=2.5" in text
         assert "max=4" in text
 
+    def test_render_cdf_summary_empty(self):
+        from repro.experiments import render_cdf_summary
+
+        assert render_cdf_summary("x", []) == "x: n=0"
+
     def test_banner(self):
         from repro.experiments import banner
 
         assert "title" in banner("title")
+
+
+class TestFig10EmptySample:
+    @pytest.mark.parametrize("seed", [1002017, 2002020])
+    def test_no_answered_pair_renders_n0(self, seed):
+        # At this tiny scale iPlane answers no (home, visited) pair, so
+        # the delay and predicted-hop samples are empty.
+        scale = ExperimentScale(
+            label="tiny", num_users=16, device_days=2, content_days=1,
+            num_popular_domains=16, seed=seed,
+        )
+        result = exp_fig10.run(World(scale))
+        assert result.answered_pairs == 0 < result.total_pairs
+        text = exp_fig10.format_result(result)
+        assert "one-way delay (ms): n=0" in text
+        assert "median delay (paper: ~50 ms): n=0" in text
+        assert "median predicted AS hops (paper: 4): n=0" in text
+        assert "median shortest physical AS path (paper: 2): 2.0" in text
