@@ -5,7 +5,6 @@ calculators."""
 
 from .aggregate import (
     aggregateability,
-    complete_forwarding_table,
     lpm_forwarding_table,
     router_aggregateability,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "MobilityTimeline",
     "per_day_update_rates",
     "pearson_correlation",
-    "complete_forwarding_table",
     "lpm_forwarding_table",
     "aggregateability",
     "router_aggregateability",

@@ -13,36 +13,18 @@ Aggregateability = |complete| / |LPM|.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..measurement.vantage import ContentMeasurement
 from ..net import ContentName, NameTrie
 from ..routing import RoutingOracle, VantagePoint
-from .strategies import ContentPortMapper
+from .contentplane import ContentPlane
 
 __all__ = [
-    "complete_forwarding_table",
     "lpm_forwarding_table",
     "aggregateability",
     "router_aggregateability",
 ]
-
-
-def complete_forwarding_table(
-    mapper: ContentPortMapper,
-    address_sets: Mapping[ContentName, FrozenSet],
-) -> Dict[ContentName, int]:
-    """Best-port forwarding entry for every name (the complete table).
-
-    Names whose address set yields no route at this router are omitted
-    — a real router cannot install an entry it has no port for.
-    """
-    table: Dict[ContentName, int] = {}
-    for name in sorted(address_sets):
-        port = mapper.best_port(address_sets[name])
-        if port is not None:
-            table[name] = port
-    return table
 
 
 def lpm_forwarding_table(
@@ -85,18 +67,22 @@ def router_aggregateability(
     vantage: VantagePoint,
     oracle: RoutingOracle,
     measurement: ContentMeasurement,
-    hour: int = 0,
 ) -> Tuple[float, Dict[ContentName, int], Dict[ContentName, int]]:
     """Fig. 12 for one router: aggregateability over a measured set.
 
-    Uses each name's address set at ``hour`` with best-port forwarding.
-    Returns ``(ratio, complete_table, lpm_table)``.
+    The complete table holds each name's best port for its hour-0
+    address set, read from the content-plane kernel
+    (:class:`~repro.core.contentplane.RouterContent`). Names whose
+    addresses yield no route at this router are omitted: a real router
+    cannot install an entry it has no port for. Returns
+    ``(ratio, complete_table, lpm_table)``.
     """
-    mapper = ContentPortMapper(vantage, oracle)
-    address_sets = {
-        name: measurement.timeline(name).set_at(hour)
-        for name in measurement.names()
+    plane = ContentPlane.of(measurement)
+    (content,) = plane.for_routers([vantage], oracle)
+    complete = {
+        name: port
+        for name, port in zip(plane.names, content.first_port.tolist())
+        if port >= 0
     }
-    complete = complete_forwarding_table(mapper, address_sets)
     lpm = lpm_forwarding_table(complete)
     return aggregateability(complete, lpm), complete, lpm

@@ -16,7 +16,7 @@ Two variants:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..engine import shm as shm_world
@@ -30,6 +30,7 @@ np = require_numpy()
 __all__ = [
     "intradomain_displaced",
     "InterdomainPortMap",
+    "covering_prefix_ids",
 ]
 
 
@@ -52,6 +53,30 @@ def intradomain_displaced(
     if old_port is None or new_port is None:
         return False
     return old_port != new_port
+
+
+def covering_prefix_ids(
+    topology, values: Sequence[int]
+) -> Tuple[List[IPv4Prefix], "np.ndarray"]:
+    """Intern the covering prefixes of integer addresses ``values``.
+
+    Returns the distinct announced prefixes in first-seen order, and
+    each address's index into them (-1 where no prefix covers it). Each
+    address is resolved exactly once, so callers pass unique addresses.
+    """
+    prefixes: List[IPv4Prefix] = []
+    index: Dict[IPv4Prefix, int] = {}
+    pid = np.empty(len(values), dtype=np.int64)
+    for i, value in enumerate(values):
+        prefix = topology.covering_prefix(IPv4Address(int(value)))
+        if prefix is None:
+            pid[i] = -1
+            continue
+        if prefix not in index:
+            index[prefix] = len(prefixes)
+            prefixes.append(prefix)
+        pid[i] = index[prefix]
+    return prefixes, pid
 
 
 class InterdomainPortMap:

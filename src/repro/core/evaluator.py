@@ -41,12 +41,9 @@ from ..topology import Graph
 from ..workload import DeviceEventColumns, require_numpy
 from ..workload.columns import unique_with_inverse
 from .architectures import IndirectionRouting
-from .displacement import InterdomainPortMap
-from .strategies import (
-    ContentPortMapper,
-    ForwardingStrategy,
-    UnionFloodingState,
-)
+from .displacement import InterdomainPortMap, covering_prefix_ids
+from .contentplane import ContentPlane, RouterContent
+from .strategies import ForwardingStrategy
 
 np = require_numpy()
 
@@ -135,25 +132,12 @@ class DeviceUpdateCostEvaluator:
         unique address resolves its prefix exactly once, however many
         events revisit it.
         """
-        from ..net import IPv4Address
-
         cols = columns.as_columns()
         all_ips = np.concatenate([cols.from_ip, cols.to_ip])
         uniq_ips, inverse = unique_with_inverse(all_ips)
-        topology = self._oracle.topology
-        prefixes: List = []
-        prefix_index: Dict = {}
-        ip_pid = np.empty(len(uniq_ips), dtype=np.int64)
-        for i, value in enumerate(uniq_ips.tolist()):
-            prefix = topology.covering_prefix(IPv4Address(int(value)))
-            if prefix is None:
-                ip_pid[i] = -1
-                continue
-            pid = prefix_index.get(prefix)
-            if pid is None:
-                pid = prefix_index[prefix] = len(prefixes)
-                prefixes.append(prefix)
-            ip_pid[i] = pid
+        prefixes, ip_pid = covering_prefix_ids(
+            self._oracle.topology, uniq_ips.tolist()
+        )
         n = len(columns)
         return prefixes, ip_pid[inverse[:n]], ip_pid[inverse[n:]]
 
@@ -181,125 +165,54 @@ class DeviceUpdateCostEvaluator:
 
 
 class ContentUpdateCostEvaluator:
-    """Fig. 11(b)/(c): content mobility update rates per strategy."""
+    """Fig. 11(b)/(c): content mobility update rates per strategy.
+
+    A thin reader of the :class:`~repro.core.contentplane.ContentPlane`
+    kernel: the first evaluation of a measurement interns it and
+    reduces every router once for all strategies; later evaluations of
+    the same measurement and routers, by any evaluator, read the memo.
+    """
 
     def __init__(self, routers: Sequence[VantagePoint], oracle: RoutingOracle):
         if not routers:
             raise ValueError("need at least one vantage router")
-        self._mappers = [ContentPortMapper(r, oracle) for r in routers]
+        self._routers = list(routers)
+        self._oracle = oracle
+
+    def router_content(
+        self, measurement: ContentMeasurement
+    ) -> List[RouterContent]:
+        """The kernel's per-router results for ``measurement``."""
+        with obs.span("evaluator.batch.content"):
+            return ContentPlane.of(measurement).for_routers(
+                self._routers, self._oracle
+            )
 
     def evaluate(
         self,
         measurement: ContentMeasurement,
         strategy: ForwardingStrategy,
     ) -> UpdateRateReport:
-        """Per-router update rate over every event in ``measurement``.
-
-        Each name's columnar ``Addrs(d, t)`` membership matrix is
-        reduced per router with a handful of numpy operations (rank
-        gather + row minimum for best-port, a port one-hot product for
-        the flooding variants) — exactly the §3.3.1 definitions.
-        """
-        updates = {m.vantage.name: 0 for m in self._mappers}
-        count = 0
-        with obs.span("evaluator.batch.content"):
-            for name in measurement.names():
-                matrix = measurement.matrix(name)
-                count += matrix.num_events
-                if matrix.num_events == 0:
-                    continue
-                for mapper in self._mappers:
-                    updates[mapper.vantage.name] += self._count_updates(
-                        mapper, matrix, strategy
-                    )
-            obs.incr("evaluator.batch.content.events", count)
+        """Per-router update rate over every event in ``measurement``."""
+        if not isinstance(strategy, ForwardingStrategy):
+            raise ValueError(f"unknown strategy: {strategy!r}")
+        results = self.router_content(measurement)
+        count = ContentPlane.of(measurement).num_events
+        obs.incr("evaluator.batch.content.events", count)
+        updates = {r.router: r.updates[strategy] for r in results}
         rates = {
             name: (n / count if count else 0.0) for name, n in updates.items()
         }
         return UpdateRateReport(rates=rates, num_events=count, updates=updates)
 
-    @staticmethod
-    def _count_updates(
-        mapper: ContentPortMapper, matrix, strategy: ForwardingStrategy
-    ) -> int:
-        """Count one router's updates along one columnar timeline.
-
-        Parity with the incremental per-event replay (the reference in
-        ``tests/reference/evaluator.py``) rests on two facts: equal
-        :func:`~repro.routing.rank_key` implies equal next hop (the
-        next hop is the key's final tiebreak), so the row-minimum rank
-        determines the best port exactly as incremental best-tracking
-        does; and the flooding port set is a pure function of the
-        addresses present (or ever seen, for union) in a row.
-        """
-        from ..routing import rank_key
-
-        routes = mapper.routes_for_addresses(matrix.addrs)
-        ports = np.array(
-            [-1 if r is None else r.next_hop for r in routes], dtype=np.int64
-        )
-        routed = ports >= 0
-        if not routed.any():
-            # No address ever routed: ports stay empty/None throughout.
-            return 0
-        membership = matrix.membership
-
-        if strategy is ForwardingStrategy.BEST_PORT:
-            keyed = [None if r is None else rank_key(r) for r in routes]
-            key_port = {
-                k: int(p)
-                for k, p in zip(keyed, ports.tolist())
-                if k is not None
-            }
-            uniq_keys = sorted(key_port)
-            key_rank = {k: i for i, k in enumerate(uniq_keys)}
-            none_rank = len(uniq_keys)
-            addr_rank = np.array(
-                [none_rank if k is None else key_rank[k] for k in keyed],
-                dtype=np.int64,
-            )
-            port_of_rank = np.array(
-                [key_port[k] for k in uniq_keys] + [-1], dtype=np.int64
-            )
-            grid = np.where(
-                membership & routed[None, :], addr_rank[None, :], none_rank
-            )
-            row_port = port_of_rank[grid.min(axis=1)]
-            return int(np.count_nonzero(row_port[1:] != row_port[:-1]))
-
-        # Flooding variants: project rows onto port presence via a
-        # one-hot (routed address -> port) matrix. int32 accumulators —
-        # a uint8 product would overflow past 255 addresses per port.
-        routed_idx = np.nonzero(routed)[0]
-        present = membership[:, routed_idx].astype(np.int32)
-        if strategy is ForwardingStrategy.UNION_FLOODING:
-            # The union of all addresses seen so far only ever grows.
-            present = np.maximum.accumulate(present, axis=0)
-        elif strategy is not ForwardingStrategy.CONTROLLED_FLOODING:
-            raise ValueError(f"unknown strategy: {strategy!r}")
-        _, port_inverse = unique_with_inverse(ports[routed_idx])
-        onehot = np.zeros(
-            (len(routed_idx), int(port_inverse.max()) + 1), dtype=np.int32
-        )
-        onehot[np.arange(len(routed_idx)), port_inverse] = 1
-        port_presence = (present @ onehot) > 0
-        changed = (port_presence[1:] != port_presence[:-1]).any(axis=1)
-        return int(np.count_nonzero(changed))
-
     def union_table_sizes(
         self, measurement: ContentMeasurement
     ) -> Dict[str, int]:
         """Accumulated union-strategy state per router (the §3.3.3 cost)."""
-        sizes = {}
-        for mapper in self._mappers:
-            state = UnionFloodingState()
-            for name in measurement.names():
-                timeline = measurement.timeline(name)
-                state.observe(mapper, name, timeline.set_at(0))
-                for event in timeline.events():
-                    state.observe(mapper, name, event.new_addrs)
-            sizes[mapper.vantage.name] = state.table_size()
-        return sizes
+        return {
+            r.router: r.entries[ForwardingStrategy.UNION_FLOODING]
+            for r in self.router_content(measurement)
+        }
 
 
 def per_day_update_rates(

@@ -69,12 +69,11 @@ class ContentPortMapper:
         return route
 
     def routes_for_addresses(self, addrs):
-        """Best routes for a batch of addresses, in given order.
+        """Best routes for a batch of addresses, in the given order.
 
-        Returns ``[Optional[Route], ...]`` aligned with ``addrs``,
-        filling the same per-address/per-prefix caches
-        :meth:`best_route_for_address` uses — the gather step the vectorized content evaluator turns
-        into rank/port arrays.
+        Returns ``[Optional[Route], ...]`` aligned with ``addrs``, one
+        :meth:`best_route_for_address` per address, so the batch fills
+        and reuses the same per-address and per-prefix caches.
         """
         return [self.best_route_for_address(addr) for addr in addrs]
 

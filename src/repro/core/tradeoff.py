@@ -19,12 +19,13 @@ corners for every strategy:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..measurement.vantage import ContentMeasurement
 from ..routing import RoutingOracle, VantagePoint
+from .contentplane import ContentPlane
 from .evaluator import ContentUpdateCostEvaluator
-from .strategies import ContentPortMapper, ForwardingStrategy
+from .strategies import ForwardingStrategy
 
 __all__ = ["StrategyCosts", "TradeoffResult", "evaluate_tradeoff"]
 
@@ -60,89 +61,48 @@ class TradeoffResult:
         raise KeyError((strategy, router))
 
 
-def _time_averaged_port_sets(
-    mapper: ContentPortMapper,
-    measurement: ContentMeasurement,
-    accumulate: bool,
-) -> Dict[str, float]:
-    """Average eligible-port-set size per name, weighted by residence time.
-
-    With ``accumulate=True`` the port set is the running union (the
-    union-flooding data plane); otherwise it is the instantaneous set.
-    Returns {"copies": time-averaged copies, "entries": final entries}.
-    """
-    total_hours = 0.0
-    weighted_copies = 0.0
-    entries = 0
-    for name in measurement.names():
-        timeline = measurement.timeline(name)
-        union_ports: set = set()
-        prev_hour = 0
-        current_ports = mapper.eligible_ports(timeline.set_at(0))
-        union_ports |= current_ports
-        events = timeline.events()
-        for event in events + [None]:
-            end_hour = timeline.total_hours if event is None else event.hour
-            span = end_hour - prev_hour
-            size = len(union_ports) if accumulate else len(current_ports)
-            weighted_copies += span * size
-            total_hours += span
-            if event is None:
-                break
-            prev_hour = event.hour
-            current_ports = mapper.eligible_ports(event.new_addrs)
-            union_ports |= current_ports
-        entries += len(union_ports) if accumulate else len(current_ports)
-    return {
-        "copies": weighted_copies / total_hours if total_hours else 0.0,
-        "entries": float(entries),
-    }
-
-
 def evaluate_tradeoff(
     routers: List[VantagePoint],
     oracle: RoutingOracle,
     measurement: ContentMeasurement,
 ) -> TradeoffResult:
-    """Quantify all three §3.3.3 costs for all three strategies."""
+    """Quantify all three §3.3.3 costs for all three strategies.
+
+    Update rates come from :meth:`ContentUpdateCostEvaluator.evaluate`;
+    copies and entries are read from the same kernel results
+    (:class:`~repro.core.contentplane.RouterContent`). Best-port sends
+    one copy per packet and holds one entry per name.
+    """
     evaluator = ContentUpdateCostEvaluator(routers, oracle)
     reports = {
         strategy: evaluator.evaluate(measurement, strategy)
         for strategy in ForwardingStrategy
     }
+    total_hours = ContentPlane.of(measurement).total_hours
+    num_names = len(measurement.names())
     costs: List[StrategyCosts] = []
-    names = measurement.names()
-    for router in routers:
-        mapper = ContentPortMapper(router, oracle)
-        flooding_stats = _time_averaged_port_sets(
-            mapper, measurement, accumulate=False
-        )
-        union_stats = _time_averaged_port_sets(
-            mapper, measurement, accumulate=True
-        )
-        per_strategy = {
-            ForwardingStrategy.BEST_PORT: (1.0, float(len(names))),
-            ForwardingStrategy.CONTROLLED_FLOODING: (
-                flooding_stats["copies"],
-                flooding_stats["entries"],
-            ),
-            ForwardingStrategy.UNION_FLOODING: (
-                union_stats["copies"],
-                union_stats["entries"],
-            ),
-        }
-        for strategy, (copies, entries) in per_strategy.items():
+    for content in evaluator.router_content(measurement):
+        for strategy in ForwardingStrategy:
+            if strategy is ForwardingStrategy.BEST_PORT:
+                copies = 1.0 if total_hours else 0.0
+                entries = num_names
+            else:
+                copies = (
+                    content.copy_hours[strategy] / total_hours
+                    if total_hours else 0.0
+                )
+                entries = content.entries[strategy]
             costs.append(
                 StrategyCosts(
                     strategy=strategy,
-                    router=router.name,
-                    update_rate=reports[strategy].rates[router.name],
+                    router=content.router,
+                    update_rate=reports[strategy].rates[content.router],
                     avg_copies_per_packet=copies,
-                    table_entries=int(entries),
+                    table_entries=entries,
                 )
             )
     return TradeoffResult(
         costs=costs,
         num_events=reports[ForwardingStrategy.BEST_PORT].num_events,
-        num_names=len(names),
+        num_names=num_names,
     )

@@ -60,6 +60,13 @@ class ExperimentScale:
     num_popular_domains: Optional[int]
     seed: int = 2014
 
+    def __post_init__(self):
+        count = self.num_popular_domains
+        if count is not None and count < 1:
+            raise ValueError(
+                f"num_popular_domains must be positive or None, got {count}"
+            )
+
 
 #: The paper's parameters: 372 users, the full popular set, 21
 #: measurement days shortened to 7 (content statistics are per-day, so

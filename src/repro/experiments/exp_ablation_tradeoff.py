@@ -8,7 +8,6 @@ but leaves unevaluated.
 
 from __future__ import annotations
 
-
 from ..core import ForwardingStrategy
 from ..core.tradeoff import TradeoffResult, evaluate_tradeoff
 from ..engine import Series, register
@@ -45,7 +44,7 @@ def format_result(result: TradeoffResult) -> str:
                 strategy.value,
                 f"{mean_update * 100:.3f}%",
                 f"{mean_copies:.2f}",
-                f"{mean_entries / result.num_names:.2f}",
+                f"{mean_entries / max(result.num_names, 1):.2f}",
             ]
         )
     table = render_table(

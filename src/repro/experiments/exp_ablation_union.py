@@ -57,6 +57,13 @@ def run(world: World) -> UnionAblationResult:
     )
 
 
+def _ports_per_name(result: UnionAblationResult, router: str) -> float:
+    """Union table entries per measured name (0.0 when none was measured)."""
+    if not result.names_measured:
+        return 0.0
+    return result.union_table_sizes[router] / result.names_measured
+
+
 def format_result(result: UnionAblationResult) -> str:
     """Render the strategy comparison."""
     rows = []
@@ -67,7 +74,7 @@ def format_result(result: UnionAblationResult) -> str:
                 f"{result.best_port.rates[router] * 100:.3f}%",
                 f"{result.flooding.rates[router] * 100:.3f}%",
                 f"{result.union.rates[router] * 100:.3f}%",
-                f"{result.union_table_sizes[router] / result.names_measured:.2f}",
+                f"{_ports_per_name(result, router):.2f}",
             ]
         )
     table = render_table(
@@ -98,7 +105,7 @@ def series(result: UnionAblationResult) -> list:
                     result.best_port.rates[router],
                     result.flooding.rates[router],
                     result.union.rates[router],
-                    result.union_table_sizes[router] / result.names_measured,
+                    _ports_per_name(result, router),
                 ]
                 for router in result.flooding.rates
             ],

@@ -19,13 +19,16 @@ import contextlib
 import sys
 from typing import Iterator
 
+import repro.core.aggregate as _aggregate
 import repro.core.evaluator as _evaluator
+import repro.core.tradeoff as _tradeoff
 import repro.engine.shm as _shm
 from repro.core import ContentUpdateCostEvaluator, DeviceUpdateCostEvaluator
 from repro.engine.registry import load_registry
 from repro.forwarding import ConvergenceSimulator
 from repro.routing import RoutingOracle, VantagePoint
 
+from .aggregate import complete_forwarding_table, router_aggregateability
 from .convergence import (
     deliver_under_faults,
     simulate_event,
@@ -38,8 +41,10 @@ from .evaluator import (
     interdomain_displaced,
     per_day_update_rates,
     replay_timeline,
+    union_table_sizes,
 )
 from .routing import compute_routes, next_hop_table, routes_to
+from .tradeoff import evaluate_tradeoff, time_averaged_port_sets
 
 __all__ = [
     "compute_routes",
@@ -54,6 +59,11 @@ __all__ = [
     "evaluate_content",
     "replay_timeline",
     "per_day_update_rates",
+    "union_table_sizes",
+    "time_averaged_port_sets",
+    "evaluate_tradeoff",
+    "complete_forwarding_table",
+    "router_aggregateability",
     "patched",
 ]
 
@@ -75,11 +85,14 @@ _METHODS = (
      simulate_event_under_faults),
     (DeviceUpdateCostEvaluator, "evaluate", evaluate_device),
     (ContentUpdateCostEvaluator, "evaluate", evaluate_content),
+    (ContentUpdateCostEvaluator, "union_table_sizes", union_table_sizes),
 )
 
 #: ``(production function, reference)`` for every replaced function.
 _FUNCTIONS = (
     (_evaluator.per_day_update_rates, per_day_update_rates),
+    (_tradeoff.evaluate_tradeoff, evaluate_tradeoff),
+    (_aggregate.router_aggregateability, router_aggregateability),
     (_shm.export_world, _no_export),
 )
 

@@ -27,6 +27,8 @@ __all__ = [
     "interdomain_displaced",
     "evaluate_device",
     "evaluate_content",
+    "content_mappers",
+    "union_table_sizes",
     "replay_timeline",
     "per_day_update_rates",
 ]
@@ -77,7 +79,7 @@ def evaluate_content(
     Each timeline's port profile is maintained as a counter and only
     the addresses an event actually added or removed are re-projected.
     """
-    mappers = evaluator._mappers
+    mappers = content_mappers(evaluator)
     updates = {m.vantage.name: 0 for m in mappers}
     union_states: Dict[str, UnionFloodingState] = {
         m.vantage.name: UnionFloodingState() for m in mappers
@@ -109,6 +111,31 @@ def evaluate_content(
         name: (n / count if count else 0.0) for name, n in updates.items()
     }
     return UpdateRateReport(rates=rates, num_events=count, updates=updates)
+
+
+def content_mappers(evaluator: ContentUpdateCostEvaluator):
+    """One fresh per-address mapper per router of ``evaluator``."""
+    return [
+        ContentPortMapper(router, evaluator._oracle)
+        for router in evaluator._routers
+    ]
+
+
+def union_table_sizes(
+    evaluator: ContentUpdateCostEvaluator, measurement: ContentMeasurement
+) -> Dict[str, int]:
+    """:meth:`ContentUpdateCostEvaluator.union_table_sizes` as an event
+    replay through :class:`UnionFloodingState`."""
+    sizes = {}
+    for mapper in content_mappers(evaluator):
+        state = UnionFloodingState()
+        for name in measurement.names():
+            timeline = measurement.timeline(name)
+            state.observe(mapper, name, timeline.set_at(0))
+            for event in timeline.events():
+                state.observe(mapper, name, event.new_addrs)
+        sizes[mapper.vantage.name] = state.table_size()
+    return sizes
 
 
 def replay_timeline(

@@ -4,18 +4,27 @@ The columnar data plane's contract is *bit-identical* results: the
 vectorized device/content evaluators and ``per_day_update_rates`` must
 produce exactly the reports — and therefore exactly the ledger series
 digests — that the per-event loops in :mod:`tests.reference` produce.
-These tests run both in one process and compare everything, including
-digests.
+The content-plane kernel is held to the same contract for every output
+it feeds: update counts, union table sizes, the §3.3.3 copies and
+entries (compared with ``==``, not approximately) and the Fig. 12
+tables. These tests run both in one process and compare everything,
+including digests.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core import (
+    ContentPortMapper,
     ContentUpdateCostEvaluator,
     DeviceUpdateCostEvaluator,
     ForwardingStrategy,
+    evaluate_tradeoff,
     per_day_update_rates,
+    router_aggregateability,
 )
+from repro.experiments import SMALL_SCALE, ExperimentScale, World
 from repro.mobility import MobilityEvent
 from repro.net import parse_address
 from repro.obs.history import digest_series
@@ -164,3 +173,62 @@ class TestContentParity:
         assert vector.num_events == scalar.num_events
         assert list(vector.rates) == list(scalar.rates)
         assert report_digest(vector) == report_digest(scalar)
+
+
+class TestContentKernelParity:
+    """Kernel vs per-event replays: every content output, exactly."""
+
+    def check(self, routers, oracle, meas):
+        evaluator = ContentUpdateCostEvaluator(routers, oracle)
+        for strategy in ForwardingStrategy:
+            kernel = evaluator.evaluate(meas, strategy)
+            replay = reference.evaluate_content(evaluator, meas, strategy)
+            assert kernel.updates == replay.updates, strategy
+            assert kernel.rates == replay.rates, strategy
+            assert kernel.num_events == replay.num_events
+        assert evaluator.union_table_sizes(meas) == (
+            reference.union_table_sizes(evaluator, meas)
+        )
+        tradeoff = evaluate_tradeoff(routers, oracle, meas)
+        for router in routers:
+            mapper = ContentPortMapper(router, oracle)
+            for strategy, accumulate in (
+                (ForwardingStrategy.CONTROLLED_FLOODING, False),
+                (ForwardingStrategy.UNION_FLOODING, True),
+            ):
+                stats = reference.time_averaged_port_sets(
+                    mapper, meas, accumulate
+                )
+                costs = tradeoff.at(strategy, router.name)
+                assert costs.avg_copies_per_packet == stats["copies"]
+                assert costs.table_entries == int(stats["entries"])
+            best = tradeoff.at(ForwardingStrategy.BEST_PORT, router.name)
+            assert best.table_entries == len(meas.names())
+            assert router_aggregateability(router, oracle, meas) == (
+                reference.router_aggregateability(router, oracle, meas)
+            )
+
+    def test_synthetic_measurement(self):
+        routers, oracle = two_routers()
+        self.check(routers, oracle, content_measurement())
+
+    def test_reference_tradeoff_matches(self):
+        routers, oracle = two_routers()
+        meas = content_measurement()
+        assert evaluate_tradeoff(routers, oracle, meas) == (
+            reference.evaluate_tradeoff(routers, oracle, meas)
+        )
+
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            ExperimentScale(label="tiny", num_users=16, device_days=2,
+                            content_days=1, num_popular_domains=16, seed=s)
+            for s in (2014, 1002017, 2002020)
+        ] + [dataclasses.replace(SMALL_SCALE, num_popular_domains=30)],
+        ids=lambda s: f"{s.label}-{s.num_popular_domains}-{s.seed}",
+    )
+    def test_world(self, scale):
+        world = World(scale, cache=None)
+        for meas in (world.popular_measurement, world.unpopular_measurement):
+            self.check(world.routeviews, world.oracle, meas)

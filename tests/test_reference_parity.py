@@ -14,8 +14,10 @@ import sys
 import repro.core
 import repro.core.evaluator
 import repro.engine.shm
+import repro.experiments.exp_ablation_tradeoff as exp_ablation_tradeoff
 import repro.experiments.exp_fig8_sensitivity as exp_fig8_sensitivity
-from repro.core import DeviceUpdateCostEvaluator
+import repro.experiments.exp_fig12 as exp_fig12
+from repro.core import ContentUpdateCostEvaluator, DeviceUpdateCostEvaluator
 from repro.engine.registry import all_specs
 from repro.experiments import ExperimentScale, World
 from repro.obs.history import digest_series
@@ -57,9 +59,20 @@ def test_patched_installs_and_restores():
     evaluate = DeviceUpdateCostEvaluator.evaluate
     per_day = repro.core.evaluator.per_day_update_rates
     export_world = repro.engine.shm.export_world
+    union_sizes = ContentUpdateCostEvaluator.union_table_sizes
+    tradeoff = exp_ablation_tradeoff.evaluate_tradeoff
+    aggregate = exp_fig12.router_aggregateability
     with reference.patched():
         assert RoutingOracle.routes_to is reference.routes_to
         assert DeviceUpdateCostEvaluator.evaluate is reference.evaluate_device
+        assert (ContentUpdateCostEvaluator.union_table_sizes
+                is reference.union_table_sizes)
+        assert exp_ablation_tradeoff.evaluate_tradeoff is (
+            reference.evaluate_tradeoff
+        )
+        assert exp_fig12.router_aggregateability is (
+            reference.router_aggregateability
+        )
         for module in (repro.core, repro.core.evaluator,
                        exp_fig8_sensitivity):
             assert (module.per_day_update_rates
@@ -70,6 +83,9 @@ def test_patched_installs_and_restores():
     for module in (repro.core, repro.core.evaluator, exp_fig8_sensitivity):
         assert module.per_day_update_rates is per_day
     assert repro.engine.shm.export_world is export_world
+    assert ContentUpdateCostEvaluator.union_table_sizes is union_sizes
+    assert exp_ablation_tradeoff.evaluate_tradeoff is tradeoff
+    assert exp_fig12.router_aggregateability is aggregate
 
 
 def test_module_entry_point_runs_the_cli():
